@@ -262,7 +262,8 @@ class PhantomProtectedRTree:
             entries = self.protocol.execute_scan(ctx, predicate)
             result.matches = [(e.oid, e.rect, self.payloads.get(e.oid)) for e in entries]
             txn.reads += 1
-            self._record(txn, OpKind.READ_SCAN, rect=predicate, result=result.oids)
+            if self.history is not None:
+                self._record(txn, OpKind.READ_SCAN, rect=predicate, result=result.oids)
         return result
 
     def update_single(

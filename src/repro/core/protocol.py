@@ -104,6 +104,11 @@ TABLE3_ALLOWED: dict = {
     },
 }
 
+#: mode -> every mode whose lock subsumes it (Table 1's ``covers``)
+_COVERED_BY: dict = {
+    wanted: tuple(held for held in LockMode if covers(held, wanted)) for wanted in LockMode
+}
+
 #: object-lock mode each operation must hold on its target when it finds
 #: it (the "first touch takes the object lock" rule of Table 3)
 TABLE3_REQUIRED_OBJ_MODE: dict = {
@@ -139,16 +144,17 @@ class OpContext:
         later SHORT want, or the operation proceeds unfenced.  The
         protocol prunes dead SHORT entries on every restart and at
         ``end_operation`` (see :meth:`prune_dead_shorts` /
-        :meth:`drop_short_acquired`) so this scan never double-counts.
+        :meth:`drop_short_acquired`) so these probes never double-count.
+
+        At most ten set probes: one per (covering mode, acceptable
+        duration) pair.
         """
-        for held_resource, held_mode, held_duration in self.acquired:
-            if held_resource != resource:
-                continue
-            if not covers(held_mode, mode):
-                continue
-            if duration is COMMIT and held_duration is SHORT:
-                continue
-            return True
+        acquired = self.acquired
+        for held_mode in _COVERED_BY[mode]:
+            if (resource, held_mode, COMMIT) in acquired:
+                return True
+            if duration is SHORT and (resource, held_mode, SHORT) in acquired:
+                return True
         return False
 
     def drop_short_acquired(self) -> None:

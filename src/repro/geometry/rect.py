@@ -39,6 +39,20 @@ class Rect:
         self._hi = hi
         self._hash = hash((lo, hi))
 
+    @classmethod
+    def _trusted(cls, lo: Tuple[float, ...], hi: Tuple[float, ...]) -> "Rect":
+        """Build from float tuples already known to form a valid box.
+
+        Skips ``__init__``'s float conversion and validation; only for
+        results computed from validated rectangles (union, intersection,
+        bounding), whose extents are valid by construction.
+        """
+        rect = object.__new__(cls)
+        rect._lo = lo
+        rect._hi = hi
+        rect._hash = hash((lo, hi))
+        return rect
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -73,7 +87,7 @@ class Rect:
                     lo[i] = r._lo[i]
                 if r._hi[i] > hi[i]:
                     hi[i] = r._hi[i]
-        return cls(lo, hi)
+        return cls._trusted(tuple(lo), tuple(hi))
 
     # -- basic accessors ---------------------------------------------------
 
@@ -116,7 +130,8 @@ class Rect:
 
     def intersects(self, other: "Rect") -> bool:
         """Closed-box overlap test (shared boundaries count as overlap)."""
-        self._check_dim(other)
+        if len(self._lo) != len(other._lo):
+            raise self._dim_mismatch(other)
         for a_lo, a_hi, b_lo, b_hi in zip(self._lo, self._hi, other._lo, other._hi):
             if a_hi < b_lo or b_hi < a_lo:
                 return False
@@ -128,7 +143,8 @@ class Rect:
         Used when testing whether a predicate overlaps the *interior* of a
         region; touching boundaries do not count.
         """
-        self._check_dim(other)
+        if len(self._lo) != len(other._lo):
+            raise self._dim_mismatch(other)
         for a_lo, a_hi, b_lo, b_hi in zip(self._lo, self._hi, other._lo, other._hi):
             if min(a_hi, b_hi) <= max(a_lo, b_lo):
                 return False
@@ -136,7 +152,8 @@ class Rect:
 
     def contains(self, other: "Rect") -> bool:
         """True when ``other`` lies entirely within this box."""
-        self._check_dim(other)
+        if len(self._lo) != len(other._lo):
+            raise self._dim_mismatch(other)
         for a_lo, a_hi, b_lo, b_hi in zip(self._lo, self._hi, other._lo, other._hi):
             if b_lo < a_lo or b_hi > a_hi:
                 return False
@@ -151,7 +168,8 @@ class Rect:
 
     def intersection(self, other: "Rect") -> "Rect | None":
         """The overlapping box, or ``None`` when the boxes are disjoint."""
-        self._check_dim(other)
+        if len(self._lo) != len(other._lo):
+            raise self._dim_mismatch(other)
         lo = []
         hi = []
         for a_lo, a_hi, b_lo, b_hi in zip(self._lo, self._hi, other._lo, other._hi):
@@ -161,23 +179,33 @@ class Rect:
                 return None
             lo.append(c_lo)
             hi.append(c_hi)
-        return Rect(lo, hi)
+        return Rect._trusted(tuple(lo), tuple(hi))
 
     def union(self, other: "Rect") -> "Rect":
         """Minimum bounding rectangle of the two boxes."""
-        self._check_dim(other)
-        return Rect(
-            [min(a, b) for a, b in zip(self._lo, other._lo)],
-            [max(a, b) for a, b in zip(self._hi, other._hi)],
+        if len(self._lo) != len(other._lo):
+            raise self._dim_mismatch(other)
+        return Rect._trusted(
+            tuple([min(a, b) for a, b in zip(self._lo, other._lo)]),
+            tuple([max(a, b) for a, b in zip(self._hi, other._hi)]),
         )
 
     def enlargement(self, other: "Rect") -> float:
         """Area increase needed for this box to cover ``other``.
 
         This is Guttman's ChooseLeaf criterion: the leaf whose MBR needs the
-        least enlargement receives the new entry.
+        least enlargement receives the new entry.  Computes exactly
+        ``self.union(other).area() - self.area()`` (same operations, same
+        order, so bit-identical) without building the union.
         """
-        return self.union(other).area() - self.area()
+        if len(self._lo) != len(other._lo):
+            raise self._dim_mismatch(other)
+        union_area = 1.0
+        area = 1.0
+        for a_lo, a_hi, b_lo, b_hi in zip(self._lo, self._hi, other._lo, other._hi):
+            union_area *= max(a_hi, b_hi) - min(a_lo, b_lo)
+            area *= a_hi - a_lo
+        return union_area - area
 
     def overlap_area(self, other: "Rect") -> float:
         inter = self.intersection(other)
@@ -200,9 +228,8 @@ class Rect:
 
     # -- plumbing ------------------------------------------------------------
 
-    def _check_dim(self, other: "Rect") -> None:
-        if self.dim != other.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} != {other.dim}")
+    def _dim_mismatch(self, other: "Rect") -> ValueError:
+        return ValueError(f"dimension mismatch: {len(self._lo)} != {len(other._lo)}")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Rect):

@@ -362,7 +362,9 @@ class LockManager:
         """
         stripe = self._stripe_of(resource)
         with stripe.mutex:
-            head = stripe.heads.setdefault(resource, _LockHead())
+            head = stripe.heads.get(resource)
+            if head is None:
+                head = stripe.heads[resource] = _LockHead()
             held = head.granted.get(txn_id)
             conversion = held is not None and not held.empty()
 
@@ -503,12 +505,21 @@ class LockManager:
         for stripe_idx in sorted(by_stripe):
             stripe = self._stripes[stripe_idx]
             with stripe.mutex:
-                # Same canonical order as end_operation: the _txn_resources
-                # sets iterate in per-process hash order otherwise.
-                for resource in sorted(by_stripe[stripe_idx], key=_resource_order):
+                # Heads nobody waits on need only their grant dropped: no
+                # queued request of ours to cancel, no waiter to wake.
+                contended: List[ResourceId] = []
+                for resource in by_stripe[stripe_idx]:
                     head = stripe.heads.get(resource)
                     if head is None:
                         continue
+                    if head.queue:
+                        contended.append(resource)
+                    else:
+                        head.granted.pop(txn_id, None)
+                # Same canonical order as end_operation: the _txn_resources
+                # sets iterate in per-process hash order otherwise.
+                for resource in sorted(contended, key=_resource_order):
+                    head = stripe.heads[resource]
                     changed = False
                     if txn_id in head.granted:
                         del head.granted[txn_id]

@@ -9,7 +9,7 @@ both recover identically (their effects are not replayed).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.core.index import DeleteResult, InsertResult, ScanResult, SingleResult
 from repro.core.index import PhantomProtectedRTree
@@ -34,9 +34,14 @@ class LoggedIndex(PhantomProtectedRTree):
         return txn
 
     def commit(self, txn: Transaction) -> None:
-        super().commit(txn)
+        # Durable before the locks go: once ``super().commit`` releases
+        # them, another transaction may read this one's writes and commit;
+        # a crash between the two must not keep that reader and lose this
+        # writer.
+        self.txn_manager._check_active(txn)
         self.log.append(LogRecordType.COMMIT, txn.txn_id)
         self.log.flush()  # commit is durable when its record is
+        super().commit(txn)
 
     def abort(self, txn: Transaction, reason: str = "explicit abort") -> None:
         super().abort(txn, reason)
@@ -75,12 +80,17 @@ class LoggedIndex(PhantomProtectedRTree):
         predicate: Rect,
         update: Callable[[ObjectId, Rect, Any], Any],
     ) -> ScanResult:
-        old_values = dict(self.payloads)
-        result = super().update_scan(txn, predicate, update)
+        old_values: Dict[ObjectId, Any] = {}
+
+        def capture_old(oid: ObjectId, rect: Rect, old: Any) -> Any:
+            old_values[oid] = old
+            return update(oid, rect, old)
+
+        result = super().update_scan(txn, predicate, capture_old)
         for oid, rect, new in result.matches:
             self.log.append(
                 LogRecordType.UPDATE, txn.txn_id, oid=oid, rect=rect,
-                payload=new, old_payload=old_values.get(oid),
+                payload=new, old_payload=old_values[oid],
             )
         return result
 

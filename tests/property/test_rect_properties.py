@@ -1,5 +1,7 @@
 """Property-based tests for rectangle algebra."""
 
+import struct
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -98,3 +100,66 @@ def test_area_matches_sides(a):
 @given(rects(), st.floats(min_value=0, max_value=10, allow_nan=False))
 def test_expand_contains_original(a, amount):
     assert a.expanded(amount).contains(a)
+
+
+# -- trusted builds and the allocation-free enlargement -----------------------
+#
+# union, intersection and bounding build their results without __init__'s
+# validation, and enlargement skips building the union.  Each must equal
+# the validated construction it replaces.
+
+dims = st.integers(min_value=1, max_value=4)
+
+
+def same_as_validated(built, lo, hi):
+    validated = Rect(lo, hi)
+    assert built == validated
+    assert hash(built) == hash(validated)
+    assert built.lo == validated.lo and built.hi == validated.hi
+    assert all(type(v) is float for v in built.lo + built.hi)
+
+
+@given(dims.flatmap(lambda d: st.tuples(rects(d), rects(d))))
+def test_union_equals_validated_build(pair):
+    a, b = pair
+    same_as_validated(
+        a.union(b),
+        [min(x, y) for x, y in zip(a.lo, b.lo)],
+        [max(x, y) for x, y in zip(a.hi, b.hi)],
+    )
+
+
+@given(dims.flatmap(lambda d: st.tuples(rects(d), rects(d))))
+def test_intersection_equals_validated_build(pair):
+    a, b = pair
+    lo = [max(x, y) for x, y in zip(a.lo, b.lo)]
+    hi = [min(x, y) for x, y in zip(a.hi, b.hi)]
+    if any(l > h for l, h in zip(lo, hi)):
+        assert a.intersection(b) is None
+    else:
+        same_as_validated(a.intersection(b), lo, hi)
+
+
+@given(st.lists(rects(), min_size=1, max_size=8))
+def test_bounding_equals_validated_build(boxes):
+    same_as_validated(
+        Rect.bounding(boxes),
+        [min(r.lo[i] for r in boxes) for i in range(2)],
+        [max(r.hi[i] for r in boxes) for i in range(2)],
+    )
+
+
+@given(dims.flatmap(rects))
+def test_trusted_equals_validated_build(a):
+    same_as_validated(Rect._trusted(a.lo, a.hi), list(a.lo), list(a.hi))
+
+
+@given(dims.flatmap(lambda d: st.tuples(rects(d), rects(d))))
+@settings(max_examples=300)
+def test_enlargement_bit_equal_to_union_area(pair):
+    a, b = pair
+    union = Rect(
+        [min(x, y) for x, y in zip(a.lo, b.lo)], [max(x, y) for x, y in zip(a.hi, b.hi)]
+    )
+    bits = struct.Struct("<d").pack
+    assert bits(a.enlargement(b)) == bits(union.area() - a.area())

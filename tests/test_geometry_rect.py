@@ -137,3 +137,17 @@ class TestOperations:
     def test_iter_extents(self):
         r = Rect((0, 2), (1, 3))
         assert list(r) == [(0.0, 1.0), (2.0, 3.0)]
+
+
+class TestDimensionMismatch:
+    @pytest.mark.parametrize(
+        "method",
+        ["intersects", "intersects_open", "contains", "intersection", "union", "enlargement"],
+    )
+    def test_mismatched_dimensions_raise(self, method):
+        flat = Rect((0.0, 0.0), (1.0, 1.0))
+        cube = Rect((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
+        with pytest.raises(ValueError, match="dimension mismatch: 2 != 3"):
+            getattr(flat, method)(cube)
+        with pytest.raises(ValueError, match="dimension mismatch: 3 != 2"):
+            getattr(cube, method)(flat)

@@ -184,3 +184,69 @@ class TestIntrospection:
         lm.release_all("t1")
         thread.join(timeout=5)
         assert order == ["t2"]
+
+
+class TestReleaseAllFastPath:
+    """``release_all`` drops grants on heads nobody waits on directly and
+    sends only heads with waiters through queue processing."""
+
+    def test_uncontended_heads_keep_no_grant(self, lm):
+        resources = [ResourceId.leaf(k) for k in (10, 2, 33, 4)] + [OBJ]
+        for resource in resources:
+            lm.acquire("t1", resource, S)
+            lm.acquire("t1", resource, IX, SHORT)
+        shared = resources[0]
+        lm.acquire("t2", shared, IS)
+        lm.release_all("t1")
+        assert lm.locks_of("t1") == {}
+        for resource in resources:
+            assert "t1" not in lm._stripe_of(resource).heads[resource].granted
+        assert lm.holders(shared) == {"t2": IS}
+        assert all(lm.holders(resource) == {} for resource in resources[1:])
+        assert lm.acquire("t3", resources[1], X, conditional=True)
+
+    def test_waiters_wake_in_canonical_order(self, stripes):
+        import threading
+
+        from repro.lock.manager import _resource_order
+
+        granted = []
+
+        def observe(event, request):
+            if event == "grant":
+                granted.append(request.resource)
+
+        lm = LockManager(stripes=stripes, wait_observer=observe)
+        contended = [ResourceId.leaf(k) for k in (10, 2, 33, 4, 21)]
+        quiet = [ResourceId.leaf(k) for k in (7, 100)]
+        for resource in contended + quiet:
+            lm.acquire("holder", resource, X)
+
+        def wait_on(resource, txn):
+            lm.acquire(txn, resource, S)
+            lm.release_all(txn)
+
+        threads = [
+            threading.Thread(target=wait_on, args=(resource, f"w{i}"))
+            for i, resource in enumerate(contended)
+        ]
+        for thread in threads:
+            thread.start()
+        for _ in range(10_000):
+            if len(lm.waiting_requests()) == len(contended):
+                break
+            threading.Event().wait(0.001)
+        assert len(lm.waiting_requests()) == len(contended)
+
+        lm.release_all("holder")
+        for thread in threads:
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+        # stripes in index order; within a stripe, canonical resource order
+        assert granted == sorted(
+            contended, key=lambda r: (lm._stripe_of(r).index, _resource_order(r))
+        )
+        if stripes == 1:
+            assert [r.key for r in granted] == [10, 2, 21, 33, 4]
+        assert lm.locks_of("holder") == {}
+        assert lm.waiting_requests() == []

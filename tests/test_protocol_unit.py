@@ -2,11 +2,14 @@
 construction) -- the integration suite covers behaviour; these cover the
 small pure functions directly."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.core import InsertionPolicy, PhantomProtectedRTree
 from repro.core.protocol import SHORT, COMMIT, GranuleLockProtocol, OpContext
 from repro.geometry import Rect
 from repro.lock.manager import LockManager
-from repro.lock.modes import LockMode
+from repro.lock.modes import LockDuration, LockMode, covers
 from repro.lock.resource import ResourceId
 from repro.rtree.tree import RTreeConfig
 
@@ -42,6 +45,54 @@ class TestOpContext:
         ctx = OpContext("t")
         ctx.acquired.add((ResourceId.leaf(1), X, COMMIT))
         assert not ctx.holds_covering(ResourceId.leaf(2), S, SHORT)
+
+
+def linear_holds_covering(acquired, resource, mode, duration):
+    """The definition ``holds_covering`` probes for: some held lock on the
+    resource covers the mode, and a SHORT hold never satisfies a COMMIT
+    want."""
+    for held_resource, held_mode, held_duration in acquired:
+        if held_resource != resource:
+            continue
+        if not covers(held_mode, mode):
+            continue
+        if duration is COMMIT and held_duration is SHORT:
+            continue
+        return True
+    return False
+
+
+_resources = st.sampled_from(
+    [ResourceId.leaf(1), ResourceId.leaf(2), ResourceId.ext(1), ResourceId.obj("o")]
+)
+_wants = st.tuples(
+    _resources, st.sampled_from(list(LockMode)), st.sampled_from(list(LockDuration))
+)
+
+
+class TestHoldsCoveringMatchesDefinition:
+    @given(st.sets(_wants, max_size=24), _wants)
+    @settings(max_examples=400, deadline=None)
+    def test_random_acquired_sets(self, acquired, want):
+        ctx = OpContext("t")
+        ctx.acquired = set(acquired)
+        assert ctx.holds_covering(*want) == linear_holds_covering(acquired, *want)
+
+    def test_every_single_hold(self):
+        """Exhaustive over one held lock (5 modes x 2 durations) against
+        every want on the same and on another resource."""
+        here, there = ResourceId.leaf(1), ResourceId.leaf(2)
+        for held_mode in LockMode:
+            for held_duration in LockDuration:
+                held = {(here, held_mode, held_duration)}
+                ctx = OpContext("t")
+                ctx.acquired = set(held)
+                for mode in LockMode:
+                    for duration in LockDuration:
+                        for resource in (here, there):
+                            assert ctx.holds_covering(resource, mode, duration) == (
+                                linear_holds_covering(held, resource, mode, duration)
+                            )
 
 
 class TestDeadShortPruning:

@@ -16,7 +16,7 @@ from repro.recovery import (
 )
 from repro.recovery.recover import committed_state
 from repro.rtree import RTreeConfig, validate_tree
-from repro.txn import TransactionAborted
+from repro.txn import TransactionAborted, TransactionStateError
 
 TEN = Rect((0.0, 0.0), (10.0, 10.0))
 
@@ -125,6 +125,80 @@ class TestLoggedIndex:
             index.delete(txn, "ghost", r(1, 1))
         types = [rec.type for rec in index.log.records()]
         assert LogRecordType.DELETE not in types
+
+
+class TestCommitDurability:
+    """A transaction's locks may go only once its COMMIT is durable."""
+
+    def test_reader_inside_commit_window_cannot_outlive_writer(self):
+        """T2 runs in the window between T1's lock release and T1's
+        COMMIT record: it reads T1's insert and commits durably.  A crash
+        there must not recover T2 without T1."""
+        config = RTreeConfig(max_entries=5, universe=TEN)
+        index = LoggedIndex(config)
+        writer = index.begin()
+        index.insert(writer, "a", r(1, 1), payload="from-writer")
+        release_all = index.lock_manager.release_all
+        crash_logs = []
+
+        def release_then_interleave(txn_id):
+            release_all(txn_id)
+            if txn_id != writer.txn_id or crash_logs:
+                return
+            # the writer's locks are gone: nothing stops a reader now
+            with index.transaction("reader") as reader:
+                seen = [p for _oid, _rect, p in index.read_scan(reader, TEN).matches]
+                index.insert(reader, "b", r(5, 5), payload=seen)
+            crash_logs.append(index.log.crash())
+
+        index.lock_manager.release_all = release_then_interleave
+        index.commit(writer)
+        assert len(crash_logs) == 1
+
+        rebuilt, report = recover(crash_logs[0], config)
+        assert writer.txn_id in report.winners
+        assert {str(oid): p for oid, _r, p in _all_matches(rebuilt)} == {
+            "a": "from-writer",
+            "b": ["from-writer"],
+        }
+
+    def test_commit_of_inactive_transaction_logs_nothing(self):
+        index = LoggedIndex(RTreeConfig(max_entries=5, universe=TEN))
+        txn = index.begin()
+        index.abort(txn)
+        before = len(index.log)
+        with pytest.raises(TransactionStateError):
+            index.commit(txn)
+        assert len(index.log) == before
+        assert txn.txn_id not in analyze(index.log).winners
+
+
+class TestUpdateScanLogging:
+    def test_old_payloads_are_each_matchs_previous_value(self):
+        index = LoggedIndex(RTreeConfig(max_entries=5, universe=TEN))
+        with index.transaction() as txn:
+            index.insert(txn, "a", r(1, 1), payload="a0")
+            index.insert(txn, "b", r(2, 2), payload="b0")
+            index.insert(txn, "far", r(8, 8), payload="far0")
+        with index.transaction() as txn:
+            index.update_single(txn, "a", r(1, 1), payload="a1")
+            result = index.update_scan(
+                txn, Rect((0.0, 0.0), (4.0, 4.0)), lambda oid, _rect, old: f"{old}+"
+            )
+        assert sorted(result.oids) == ["a", "b"]
+        updates = [
+            (rec.oid, rec.old_payload, rec.payload)
+            for rec in index.log.records()
+            if rec.type is LogRecordType.UPDATE
+        ]
+        assert updates[0] == ("a", "a0", "a1")
+        assert sorted(updates[1:]) == [("a", "a1", "a1+"), ("b", "b0", "b0+")]
+        rebuilt, _ = recover(index.log, RTreeConfig(max_entries=5, universe=TEN))
+        assert {str(o): p for o, _r, p in _all_matches(rebuilt)} == {
+            "a": "a1+",
+            "b": "b0+",
+            "far": "far0",
+        }
 
 
 class TestRecovery:

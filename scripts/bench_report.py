@@ -8,12 +8,12 @@ Runs a fixed suite and writes a JSON report with a stable schema
   32,000-object bulk-loaded tree, geometry cache off (before) vs on
   (after).  This is the lock-acquisition hot path the cache targets.
 * ``insert_throughput`` -- single-threaded transactional inserts,
-  legacy configuration (cache off, one lock stripe) vs the new defaults.
-  Guards against the fast path taxing writers.
+  geometry cache off (before) vs on (after).  Guards against the fast
+  path taxing writers.
 * ``table2_overhead``  -- the paper's Table 2 additional-disk-access
   metric (unchanged by this layer; tracked to prove it).
 * ``lock_contention``  -- 8 threads hammering acquire/release on the
-  lock table, 1 stripe vs 8 stripes.
+  lock table (one configuration: the single-mutex table).
 * ``buffer_pool``      -- hit rate of a bounded LRU pool under the scan
   workload (exercises the single-lookup fetch fast path).
 * ``tracing_overhead`` -- the scan workload with the observability layer
@@ -68,12 +68,12 @@ def _rate(ops: int, seconds: float) -> float:
     return ops / seconds if seconds > 0 else float("inf")
 
 
-def _scan_index(n_objects: int, fanout: int, use_cache: bool, stripes: int) -> PhantomProtectedRTree:
-    """A DGL index over a bulk-loaded tree, cache/striping as requested."""
+def _scan_index(n_objects: int, fanout: int, use_cache: bool) -> PhantomProtectedRTree:
+    """A DGL index over a bulk-loaded tree, geometry cache on or off."""
     config = RTreeConfig(max_entries=fanout, universe=UNIVERSE)
     objects = paper_spatial_dataset(n_objects, seed=11)
     tree = bulk_load(objects, config)
-    lm = LockManager(wait_strategy=SingleThreadedWait(), stripes=stripes)
+    lm = LockManager(wait_strategy=SingleThreadedWait())
     index = PhantomProtectedRTree(config, lock_manager=lm)
     index.tree = tree
     index.protocol.tree = tree
@@ -99,7 +99,7 @@ def bench_scan_dgl(smoke: bool) -> Dict:
     preds = _scan_predicates(n_scans, extent=0.05, seed=23)
 
     def run(use_cache: bool) -> Dict:
-        index = _scan_index(n_objects, fanout=16, use_cache=use_cache, stripes=8)
+        index = _scan_index(n_objects, fanout=16, use_cache=use_cache)
 
         def body():
             total = 0
@@ -131,9 +131,9 @@ def bench_insert_throughput(smoke: bool) -> Dict:
     n_inserts = 400 if smoke else 4_000
     objects = paper_spatial_dataset(n_inserts, seed=31)
 
-    def run(use_cache: bool, stripes: int) -> Dict:
+    def run(use_cache: bool) -> Dict:
         config = RTreeConfig(max_entries=16, universe=UNIVERSE)
-        lm = LockManager(wait_strategy=SingleThreadedWait(), stripes=stripes)
+        lm = LockManager(wait_strategy=SingleThreadedWait())
         index = PhantomProtectedRTree(config, lock_manager=lm)
         if not use_cache:
             index.protocol.granules.cache = None
@@ -150,8 +150,8 @@ def bench_insert_throughput(smoke: bool) -> Dict:
             "inserts_per_s": round(_rate(n_inserts, seconds), 1),
         }
 
-    before = run(use_cache=False, stripes=1)
-    after = run(use_cache=True, stripes=8)
+    before = run(use_cache=False)
+    after = run(use_cache=True)
     return {
         "params": {"n_inserts": n_inserts, "fanout": 16},
         "before": before,
@@ -182,46 +182,37 @@ def bench_lock_contention(smoke: bool) -> Dict:
     ops_per_thread = 500 if smoke else 5_000
     resources = [ResourceId.leaf(pid) for pid in range(64)]
 
-    def run(stripes: int) -> Dict:
-        lm = LockManager(stripes=stripes)
-        errors: List[BaseException] = []
+    lm = LockManager()
+    errors: List[BaseException] = []
 
-        def worker(tid: int) -> None:
-            rng = random.Random(tid)
-            txn = f"t{tid}"
-            try:
-                for _ in range(ops_per_thread):
-                    res = resources[rng.randrange(len(resources))]
-                    lm.acquire(txn, res, LockMode.X)
-                    lm.release_all(txn)
-            except BaseException as exc:  # pragma: no cover - surfaced below
-                errors.append(exc)
+    def worker(tid: int) -> None:
+        rng = random.Random(tid)
+        txn = f"t{tid}"
+        try:
+            for _ in range(ops_per_thread):
+                res = resources[rng.randrange(len(resources))]
+                lm.acquire(txn, res, LockMode.X)
+                lm.release_all(txn)
+        except BaseException as exc:  # pragma: no cover - surfaced below
+            errors.append(exc)
 
-        threads = [threading.Thread(target=worker, args=(i,)) for i in range(n_threads)]
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(n_threads)]
 
-        def body():
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
+    def body():
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
 
-        seconds, _ = _timed(body)
-        if errors:
-            raise errors[0]
-        total = n_threads * ops_per_thread
-        return {
-            "seconds": round(seconds, 4),
-            "ops": total,
-            "ops_per_s": round(_rate(total, seconds), 1),
-        }
-
-    before = run(stripes=1)
-    after = run(stripes=8)
+    seconds, _ = _timed(body)
+    if errors:
+        raise errors[0]
+    total = n_threads * ops_per_thread
     return {
         "params": {"threads": n_threads, "ops_per_thread": ops_per_thread, "resources": len(resources)},
-        "before": before,
-        "after": after,
-        "speedup": round(before["seconds"] / after["seconds"], 2),
+        "seconds": round(seconds, 4),
+        "ops": total,
+        "ops_per_s": round(_rate(total, seconds), 1),
     }
 
 
@@ -253,7 +244,7 @@ def bench_tracing_overhead(smoke: bool) -> Dict:
     preds = _scan_predicates(n_scans, extent=0.05, seed=23)
 
     def run(traced: bool) -> Dict:
-        index = _scan_index(n_objects, fanout=16, use_cache=True, stripes=8)
+        index = _scan_index(n_objects, fanout=16, use_cache=True)
         tracer = EventTracer() if traced else None
         if traced:
             instrument_index(index, tracer)

@@ -742,18 +742,22 @@ class GranuleLockProtocol:
         # Re-insert every orphan under its own insert locks (§3.7: "similar
         # to an ordinary insert operation").  The short IX fences taken
         # above stay held until end_operation, so no scanner can observe
-        # the tree while an orphan is out of it.  If a re-insertion lock
-        # wait aborts this (maintenance) transaction, the remaining orphans
-        # are put back structurally anyway -- losing committed data to a
-        # deadlock in a cleanup pass is never acceptable; the IX fences
-        # still shield the affected regions until end_operation.
+        # the tree while an orphan is out of it.  The transaction is
+        # shielded from deadlock victimhood meanwhile: a re-insertion that
+        # splits a granule must wait out that granule's holders, and the
+        # victim of a cycle through such a wait is another member.  Only
+        # when the wait fails anyway (every cycle member shielded, a wait
+        # strategy that cannot block) are the remaining orphans put back
+        # structurally -- losing committed data in a cleanup pass is never
+        # acceptable.
         pending = list(report.orphans)
         try:
-            while pending:
-                entry, target_level = pending[0]
-                sub = self._reinsert(ctx, entry, target_level)
-                pending.pop(0)
-                report.merge(sub)
+            with self.lm.shield(ctx.txn_id):
+                while pending:
+                    entry, target_level = pending[0]
+                    sub = self._reinsert(ctx, entry, target_level)
+                    pending.pop(0)
+                    report.merge(sub)
         except BaseException:
             with self.latch:
                 for entry, target_level in pending:

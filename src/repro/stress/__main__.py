@@ -103,10 +103,19 @@ def main(argv: List[str] = None) -> int:
         print(result.summary())
         for violation in result.violations:
             print(f"  {violation}")
-        expected = len(doc.get("result", {}).get("violations", []))
-        if result.ok and expected:
-            print("note: artifact recorded violations but the replay is clean "
-                  "(the bug it captured is fixed)")
+        recorded = doc.get("replay_fingerprint")
+        diverged = recorded is not None and recorded != result.schedule_fingerprint
+        if diverged:
+            print("note: replay diverged from the recorded schedule")
+        if result.ok and doc.get("result", {}).get("violations"):
+            if recorded == result.schedule_fingerprint:
+                print("note: artifact recorded violations but the replay of the same "
+                      "schedule is clean (the bug it captured is fixed)")
+            else:
+                why = ("it diverged from the recorded schedule" if diverged
+                       else "the artifact records no schedule fingerprint")
+                print(f"note: artifact recorded violations and the replay is clean, but {why}, "
+                      "so this does not show the bug is fixed")
         return 0 if result.ok else 1
 
     from repro.stress.faults import FaultPlan
@@ -147,7 +156,7 @@ def main(argv: List[str] = None) -> int:
         minimized = None
         if args.minimize:
             report = minimize(config)
-            minimized = report.config
+            minimized = report.result
             print(f"  {report.summary()}")
         if trace_path is None:
             # The sweep itself ran untraced (tracing is not free); replay

@@ -150,10 +150,15 @@ def explicit_config(config: StressConfig) -> StressConfig:
 def save_artifact(
     path: str,
     result: StressResult,
-    minimized: Optional[StressConfig] = None,
+    minimized: Optional[StressResult] = None,
     trace: Optional[str] = None,
 ) -> str:
     """Write one repro artifact; returns the path written.
+
+    ``minimized`` is the failing run of the shrunk config, when there is
+    one.  ``replay_fingerprint`` records the schedule of the run a replay
+    re-executes (the minimized one if present), so a replay can tell
+    "clean on the same schedule" from "clean because it diverged".
 
     ``trace`` is the path of a ``dgl-trace/1`` sidecar recorded for this
     run (the traced deterministic replay of a failure); it is referenced
@@ -162,8 +167,9 @@ def save_artifact(
     doc = {
         "schema": SCHEMA,
         "config": config_to_json(explicit_config(result.config)),
-        "minimized": None if minimized is None else config_to_json(explicit_config(minimized)),
+        "minimized": None if minimized is None else config_to_json(explicit_config(minimized.config)),
         "result": result_to_json(result),
+        "replay_fingerprint": (minimized or result).schedule_fingerprint,
         "trace": trace,
     }
     directory = os.path.dirname(path)

@@ -19,6 +19,7 @@ or, from the command line, ``python -m repro.stress --seed 0..99``.
 
 from __future__ import annotations
 
+import hashlib
 import random
 import zlib
 from dataclasses import dataclass, field
@@ -115,6 +116,9 @@ class StressResult:
     schedule_len: int = 0
     #: the last dispatches before the run ended (artifact debugging aid)
     schedule_tail: List[tuple] = field(default_factory=list)
+    #: digest of the full dispatch sequence (:func:`schedule_fingerprint`):
+    #: a replay that ran the same schedule reproduces the same digest
+    schedule_fingerprint: str = ""
     #: the online auditor's ``dgl-audit/1`` verdict when the run was
     #: audited (``run_stress(..., audit=True)``); ``None`` otherwise
     audit_verdict: Optional[Dict[str, object]] = None
@@ -131,6 +135,14 @@ class StressResult:
             f"{self.injected_aborts} injected aborts, {self.cancellations} cancellations, "
             f"{self.yields} yields, sim_time={self.sim_time:.0f}"
         )
+
+
+def schedule_fingerprint(schedule: List[tuple]) -> str:
+    """A process-independent digest of a run's (time, process) dispatches."""
+    digest = hashlib.sha256()
+    for at, name in schedule:
+        digest.update(f"{at!r} {name}\n".encode())
+    return digest.hexdigest()[:16]
 
 
 def make_preload(config: StressConfig) -> List[Object]:
@@ -211,7 +223,7 @@ def run_stress(
     wait_events: Dict[str, int] = {}
 
     def observe(event: str, request) -> None:
-        # called under the stripe mutex: record only, never block
+        # called under the lock-manager mutex: record only, never block
         wait_events[event] = wait_events.get(event, 0) + 1
 
     lm = LockManager(wait_strategy=strategy, wait_observer=observe)
@@ -361,5 +373,6 @@ def run_stress(
     result.wait_events = dict(wait_events)
     result.schedule_len = len(sim.schedule)
     result.schedule_tail = sim.schedule[-50:]
+    result.schedule_fingerprint = schedule_fingerprint(sim.schedule)
     result.stats_snapshot = index.stats.snapshot()
     return result

@@ -13,7 +13,8 @@ from repro.lock.resource import ResourceId
 from repro.rtree import validate_tree
 from repro.txn import TransactionAborted
 
-from tests.integration.util import make_sim_index
+from tests.conftest import build_manual_tree
+from tests.integration.util import adopt_manual_tree, make_sim_index
 
 
 class TestAbsentObjectDelete:
@@ -202,6 +203,87 @@ class TestConcurrentVacuum:
             result = index.read_scan(txn, Rect((0, 0), (10, 10)))
         survivors = {oid for oid in result.oids if isinstance(oid, int) and oid < 100}
         assert survivors == set(range(30, 60))
+
+
+class TestDeadlockVictimDuringOrphanReinsertion:
+    """§3.7: a maintenance transaction whose orphan re-insertion deadlocks
+    must not split a granule other transactions hold locks on.
+
+    The schedule is driven explicitly: the victim selector always names
+    the highest transaction id, which is the maintenance transaction, so
+    the outcome does not depend on the order the lock table wakes
+    waiters in.
+    """
+
+    D = Rect((1.0, 1.0), (1.5, 1.5))      # physically deleted: empties leaf0
+    ORPHAN = Rect((1.0, 3.0), (1.5, 3.5))  # leaf0's survivor, re-inserted
+    X = Rect((2.0, 3.0), (2.5, 3.5))       # logically deleted in full leaf1
+
+    def _index(self):
+        sim, index, history = make_sim_index(max_entries=4, victim_selector=max)
+        tree, names = build_manual_tree(
+            index.tree.config,
+            [
+                [("D", self.D), ("orphan", self.ORPHAN)],
+                [
+                    ("X", self.X),
+                    ("e2", Rect((3.0, 2.0), (3.5, 2.5))),
+                    ("e3", Rect((3.5, 3.5), (4.0, 4.0))),
+                    ("e4", Rect((2.0, 2.0), (2.4, 2.4))),
+                ],
+                [("f1", Rect((8.0, 8.0), (8.5, 8.5))), ("f2", Rect((9.0, 9.0), (9.5, 9.5)))],
+            ],
+        )
+        adopt_manual_tree(index, tree, names)
+        history.preload({e.oid: e.rect for e in tree.all_entries()})
+        with index.transaction("deleter") as txn:
+            index.delete(txn, "D", self.D)  # queued for the deferred pass
+        return sim, index, history
+
+    def test_reinsertion_split_waits_for_the_deleter_of_a_moved_entry(self):
+        sim, index, history = self._index()
+        events = []
+
+        def writer():
+            # IX on leaf1 + X on X; leaf1 is where the orphan will go,
+            # and it is full, so the re-insertion needs SIX there.
+            txn = index.begin("writer")
+            try:
+                index.delete(txn, "X", self.X)
+                sim.checkpoint(5)
+                # The orphan's region is now in the root's external
+                # granule, which the maintenance transaction fences with
+                # SIX: this S request closes the waits-for cycle.
+                index.read_scan(txn, Rect((0.5, 2.5), (1.8, 4.0)))
+                sim.checkpoint(20)
+                index.commit(txn)
+                events.append("writer-commit")
+            except TransactionAborted:
+                events.append("writer-abort")
+
+        def reader():
+            txn = index.begin("reader")
+            index.read_scan(txn, self.X)
+            index.commit(txn)
+
+        sim.spawn("writer", writer)
+        sim.spawn("vacuum", index.vacuum, delay=1)
+        sim.spawn("reader", reader, delay=15)
+        sim.run()
+        sim.raise_process_errors()
+        index.vacuum()
+
+        # Without the shield the maintenance transaction is the victim and
+        # puts its orphan back without locks, splitting leaf1 and moving
+        # the tombstoned X out of the writer's IX: the reader misses it.
+        assert find_phantoms(history) == []
+        validate_tree(index.tree)
+        # The maintenance transaction is not the victim while its orphan
+        # is out of the tree; the writer is.
+        assert events == ["writer-abort"]
+        with index.transaction("check") as txn:
+            result = index.read_scan(txn, Rect((0, 0), (10, 10)))
+        assert set(result.oids) == {"orphan", "X", "e2", "e3", "e4", "f1", "f2"}
 
 
 class TestProtocolFacts:

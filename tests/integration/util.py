@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from repro.concurrency import History, SimulatedWait, Simulator
 from repro.core import InsertionPolicy, PhantomProtectedRTree
@@ -19,10 +19,13 @@ def make_sim_index(
     universe: Rect = TEN,
     seed: int = 0,
     trace: bool = False,
+    victim_selector: Optional[Callable] = None,
 ) -> Tuple[Simulator, PhantomProtectedRTree, History]:
     """A simulator-wired DGL index with history recording."""
     sim = Simulator(seed=seed)
-    lm = LockManager(wait_strategy=SimulatedWait(sim), trace=trace)
+    lm = LockManager(
+        wait_strategy=SimulatedWait(sim), trace=trace, victim_selector=victim_selector
+    )
     history = History()
     index = PhantomProtectedRTree(
         RTreeConfig(max_entries=max_entries, universe=universe),

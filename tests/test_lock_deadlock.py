@@ -13,7 +13,9 @@ R1, R2, R3 = ResourceId.leaf(1), ResourceId.leaf(2), ResourceId.leaf(3)
 
 @pytest.fixture(params=[1, 8], ids=["stripes1", "stripes8"])
 def stripes(request):
-    """Deadlock detection must work with the table sharded or not."""
+    """Inert: the lock table is no longer sharded, so both params build the
+    same manager.  Kept so these test ids match the earlier 1- and 8-stripe
+    runs they continue."""
     return request.param
 
 
@@ -28,7 +30,7 @@ def run_all(workers, timeout=10.0):
 
 class TestTwoPartyDeadlock:
     def test_cycle_broken_one_survives(self, stripes):
-        lm = LockManager(stripes=stripes)
+        lm = LockManager()
         lm.acquire("a", R1, X)
         lm.acquire("b", R2, X)
         outcome = {}
@@ -61,7 +63,7 @@ class TestTwoPartyDeadlock:
         assert lm.deadlock_count >= 1
 
     def test_victim_is_youngest_by_default(self, stripes):
-        lm = LockManager(stripes=stripes)
+        lm = LockManager()
         lm.acquire("old", R1, X)  # first seen -> older
         lm.acquire("young", R2, X)
         outcome = {}
@@ -96,7 +98,7 @@ class TestTwoPartyDeadlock:
             chosen.append(victim)
             return victim
 
-        lm = LockManager(victim_selector=pick_first_alphabetical, stripes=stripes)
+        lm = LockManager(victim_selector=pick_first_alphabetical)
         lm.acquire("a", R1, X)
         lm.acquire("b", R2, X)
         outcome = {}
@@ -127,7 +129,7 @@ class TestTwoPartyDeadlock:
 
 class TestThreePartyDeadlock:
     def test_three_cycle_resolved(self, stripes):
-        lm = LockManager(stripes=stripes)
+        lm = LockManager()
         lm.acquire("a", R1, X)
         lm.acquire("b", R2, X)
         lm.acquire("c", R3, X)
@@ -153,7 +155,7 @@ class TestThreePartyDeadlock:
 
 class TestWaitsForGraph:
     def test_graph_reflects_blockers(self, stripes):
-        lm = LockManager(stripes=stripes)
+        lm = LockManager()
         lm.acquire("holder", R1, X)
         done = threading.Event()
 
@@ -181,7 +183,7 @@ class TestWaitsForGraph:
     def test_timeout_raises_and_cleans_queue(self, stripes):
         from repro.lock import LockTimeout
 
-        lm = LockManager(stripes=stripes)
+        lm = LockManager()
         lm.acquire("holder", R1, X)
         with pytest.raises(LockTimeout):
             lm.acquire("waiter", R1, S, timeout=0.1)
@@ -189,27 +191,27 @@ class TestWaitsForGraph:
         lm.release_all("holder")
 
 
-class TestCrossStripeDeadlock:
-    def test_cycle_spanning_distinct_stripes(self):
-        """A deadlock whose two resources provably live in *different*
-        stripes -- the waits-for graph must still see across shards."""
-        lm = LockManager(stripes=8)
-        first = ResourceId.leaf(0)
-        home = lm._stripe_of(first).index
-        other = next(
-            ResourceId.leaf(pid)
-            for pid in range(1, 1000)
-            if lm._stripe_of(ResourceId.leaf(pid)).index != home
-        )
-        assert lm._stripe_of(first).index != lm._stripe_of(other).index
+def wait_until_queued(lm, count, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while len(lm.waiting_requests()) < count:
+        assert time.monotonic() < deadline, "waiter never queued"
+        time.sleep(0.001)
 
-        lm.acquire("a", first, X)
-        lm.acquire("b", other, X)
+
+class TestMultiResourceCycle:
+    def test_cycle_across_namespaces_real_threads(self):
+        """Two real threads deadlock over a leaf and an external granule:
+        one is the victim, the other is granted, and nothing is left held
+        or queued afterwards."""
+        leaf, ext = ResourceId.leaf(0), ResourceId.ext(1)
+        lm = LockManager()
+        lm.acquire("a", leaf, X)
+        lm.acquire("b", ext, X)
         outcome = {}
 
         def a_body():
             try:
-                lm.acquire("a", other, X)
+                lm.acquire("a", ext, X)
                 outcome["a"] = "ok"
             except DeadlockError:
                 outcome["a"] = "victim"
@@ -217,9 +219,9 @@ class TestCrossStripeDeadlock:
                 lm.release_all("a")
 
         def b_body():
-            time.sleep(0.15)
+            wait_until_queued(lm, 1)
             try:
-                lm.acquire("b", first, X)
+                lm.acquire("b", leaf, X)
                 outcome["b"] = "ok"
             except DeadlockError:
                 outcome["b"] = "victim"
@@ -227,5 +229,69 @@ class TestCrossStripeDeadlock:
                 lm.release_all("b")
 
         run_all([a_body, b_body])
-        assert sorted(outcome.values()) == ["ok", "victim"]
-        assert lm.deadlock_count >= 1
+        assert outcome == {"a": "ok", "b": "victim"}
+        assert lm.deadlock_count == 1
+        assert lm.outstanding() == (0, 0)
+
+
+class TestShield:
+    def test_shielded_youngest_is_not_the_victim(self):
+        """The default victim (the youngest waiter) is passed over while
+        shielded; the other member of the cycle is aborted instead."""
+        lm = LockManager()
+        lm.acquire("old", R1, X)
+        lm.acquire("young", R2, X)
+        outcome = {}
+
+        def old_body():
+            try:
+                lm.acquire("old", R2, X)
+                outcome["old"] = "ok"
+            except DeadlockError:
+                outcome["old"] = "victim"
+            finally:
+                lm.release_all("old")
+
+        def young_body():
+            wait_until_queued(lm, 1)
+            with lm.shield("young"):
+                try:
+                    lm.acquire("young", R1, X)
+                    outcome["young"] = "ok"
+                except DeadlockError:
+                    outcome["young"] = "victim"
+                finally:
+                    lm.release_all("young")
+
+        run_all([old_body, young_body])
+        assert outcome == {"old": "victim", "young": "ok"}
+
+    def test_all_shielded_cycle_still_resolves(self):
+        chosen = []
+
+        def selector(cycle):
+            chosen.append(tuple(sorted(cycle)))
+            return "b"
+
+        lm = LockManager(victim_selector=selector)
+        lm.acquire("a", R1, X)
+        lm.acquire("b", R2, X)
+        outcome = {}
+
+        def body(me, want, queued_before):
+            def run():
+                wait_until_queued(lm, queued_before)
+                with lm.shield(me):
+                    try:
+                        lm.acquire(me, want, X)
+                        outcome[me] = "ok"
+                    except DeadlockError:
+                        outcome[me] = "victim"
+                    finally:
+                        lm.release_all(me)
+
+            return run
+
+        run_all([body("a", R2, 0), body("b", R1, 1)])
+        assert outcome == {"a": "ok", "b": "victim"}
+        assert chosen == [("a", "b")]

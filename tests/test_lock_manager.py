@@ -1,5 +1,7 @@
 """Unit tests for the lock manager (single-threaded paths)."""
 
+import time
+
 import pytest
 
 from repro.lock import (
@@ -21,14 +23,22 @@ OBJ = ResourceId.obj("o")
 
 @pytest.fixture(params=[1, 8], ids=["stripes1", "stripes8"])
 def stripes(request):
-    """Every test runs against both the single-stripe (legacy-equivalent)
-    and the default striped lock table."""
+    """Inert: the lock table is no longer sharded, so both params build the
+    same manager.  Kept so these test ids match the earlier 1- and 8-stripe
+    runs they continue."""
     return request.param
 
 
 @pytest.fixture
 def lm(stripes):
-    return LockManager(wait_strategy=SingleThreadedWait(), stripes=stripes)
+    return LockManager(wait_strategy=SingleThreadedWait())
+
+
+def wait_until_queued(lm, count, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while len(lm.waiting_requests()) < count:
+        assert time.monotonic() < deadline, "waiters never queued"
+        time.sleep(0.001)
 
 
 class TestGrantDeny:
@@ -141,11 +151,8 @@ class TestIntrospection:
         assert not lm.has_conflicting_holder(R1, IX, ignore=("reader",))
         assert not lm.has_conflicting_holder(R2, X)
 
-    def test_stripe_count(self, lm, stripes):
-        assert lm.stripe_count == stripes
-
     def test_trace_records_grants_and_denials(self, stripes):
-        lm = LockManager(wait_strategy=SingleThreadedWait(), trace=True, stripes=stripes)
+        lm = LockManager(wait_strategy=SingleThreadedWait(), trace=True)
         lm.acquire("t1", R1, X)
         lm.acquire("t2", R1, S, conditional=True)
         assert len(lm.trace) == 2
@@ -164,7 +171,7 @@ class TestIntrospection:
         """A grantable new request must not overtake earlier waiters."""
         import threading
 
-        lm = LockManager(stripes=stripes)
+        lm = LockManager()
         lm.acquire("t1", R1, S)
         order = []
 
@@ -200,7 +207,7 @@ class TestReleaseAllFastPath:
         lm.release_all("t1")
         assert lm.locks_of("t1") == {}
         for resource in resources:
-            assert "t1" not in lm._stripe_of(resource).heads[resource].granted
+            assert "t1" not in lm._heads[resource].granted
         assert lm.holders(shared) == {"t2": IS}
         assert all(lm.holders(resource) == {} for resource in resources[1:])
         assert lm.acquire("t3", resources[1], X, conditional=True)
@@ -216,9 +223,16 @@ class TestReleaseAllFastPath:
             if event == "grant":
                 granted.append(request.resource)
 
-        lm = LockManager(stripes=stripes, wait_observer=observe)
-        contended = [ResourceId.leaf(k) for k in (10, 2, 33, 4, 21)]
-        quiet = [ResourceId.leaf(k) for k in (7, 100)]
+        lm = LockManager(wait_observer=observe)
+        contended = [
+            ResourceId.leaf(10),
+            ResourceId.ext(2),
+            ResourceId.obj(33),
+            ResourceId.leaf(4),
+            ResourceId.ext(21),
+            ResourceId.obj("a"),
+        ]
+        quiet = [ResourceId.leaf(7), ResourceId.ext(100)]
         for resource in contended + quiet:
             lm.acquire("holder", resource, X)
 
@@ -232,21 +246,120 @@ class TestReleaseAllFastPath:
         ]
         for thread in threads:
             thread.start()
-        for _ in range(10_000):
-            if len(lm.waiting_requests()) == len(contended):
-                break
-            threading.Event().wait(0.001)
-        assert len(lm.waiting_requests()) == len(contended)
+        wait_until_queued(lm, len(contended))
 
         lm.release_all("holder")
         for thread in threads:
             thread.join(timeout=5)
             assert not thread.is_alive()
-        # stripes in index order; within a stripe, canonical resource order
-        assert granted == sorted(
-            contended, key=lambda r: (lm._stripe_of(r).index, _resource_order(r))
-        )
-        if stripes == 1:
-            assert [r.key for r in granted] == [10, 2, 21, 33, 4]
+        # one release wakes every resource in canonical order, across
+        # namespaces: (namespace, repr(key))
+        assert granted == sorted(contended, key=_resource_order)
+        assert [repr(r) for r in granted] == [
+            "ext:2", "ext:21", "leaf:10", "leaf:4", "obj:a", "obj:33"
+        ]
         assert lm.locks_of("holder") == {}
         assert lm.waiting_requests() == []
+
+
+class TestThreadedWaitSharedCondition:
+    """``ThreadedWait`` blocks every waiter on the manager's one condition
+    variable, whatever resource it waits for."""
+
+    def test_one_release_all_wakes_waiters_on_many_resources(self):
+        import threading
+
+        lm = LockManager()  # ThreadedWait is the default strategy
+        resources = [ResourceId.leaf(k) for k in range(8)]
+        for resource in resources:
+            lm.acquire("holder", resource, X)
+        granted = []
+
+        def wait_on(resource, txn):
+            # the long timeout only bounds a failing run: a lost wake-up
+            # leaves the thread parked well past the join below
+            lm.acquire(txn, resource, S, timeout=60.0)
+            granted.append(txn)
+
+        threads = [
+            threading.Thread(target=wait_on, args=(resource, f"w{i}"), daemon=True)
+            for i, resource in enumerate(resources)
+        ]
+        for thread in threads:
+            thread.start()
+        wait_until_queued(lm, len(resources))
+        lm.release_all("holder")
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive(), "lost wake-up"
+        assert sorted(granted) == sorted(f"w{i}" for i in range(len(resources)))
+        assert lm.waiting_requests() == []
+
+    def test_timeout_on_one_resource_leaves_other_waiters_queued(self):
+        import threading
+
+        from repro.lock import LockTimeout
+
+        lm = LockManager()
+        lm.acquire("holder", R1, X)
+        lm.acquire("holder", R2, X)
+        outcome = {}
+
+        def patient():
+            lm.acquire("patient", R2, S, timeout=10.0)
+            outcome["patient"] = "granted"
+
+        thread = threading.Thread(target=patient)
+        thread.start()
+        wait_until_queued(lm, 1)
+        with pytest.raises(LockTimeout):
+            lm.acquire("hasty", R1, S, timeout=0.05)
+        # the timeout dequeued only its own request
+        assert [(r.txn_id, r.resource) for r in lm.waiting_requests()] == [("patient", R2)]
+        assert "patient" not in outcome
+        lm.release_all("holder")
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert outcome == {"patient": "granted"}
+
+    def test_exclusive_locks_serialise_many_threads(self):
+        """More threads than cores, a short switch interval: X locks keep a
+        non-atomic read-modify-write per resource exact, and no grant or
+        wait is lost from the shared counters."""
+        import sys
+        import threading
+
+        lm = LockManager()
+        resources = [ResourceId.leaf(k) for k in range(4)]
+        totals = {resource: 0 for resource in resources}
+        n_threads, rounds = 8, 300
+        errors = []
+
+        def worker(tid):
+            try:
+                for k in range(rounds):
+                    resource = resources[(tid + k) % len(resources)]
+                    lm.acquire(f"t{tid}", resource, X, timeout=10.0)
+                    seen = totals[resource]
+                    if k % 7 == 0:
+                        time.sleep(0)  # invite a switch inside the critical section
+                    totals[resource] = seen + 1
+                    lm.release_all(f"t{tid}")
+            except BaseException as exc:  # surfaced below
+                errors.append(exc)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(previous)
+        assert errors == []
+        assert sum(totals.values()) == n_threads * rounds
+        assert lm.total_acquisitions() == n_threads * rounds
+        assert lm.outstanding() == (0, 0)

@@ -32,8 +32,7 @@ class LegacyIdKeyedWait(SimulatedWait):
     """The pre-fix SimulatedWait: id(request) keying, no finally."""
 
     def wait(self, manager, request, timeout):
-        stripe = getattr(request, "stripe", None)
-        mutex = stripe.mutex if stripe is not None else manager._mutex
+        mutex = manager._mutex
         proc = self.sim.current()
         self._waiters[id(request)] = proc
         while request.status is RequestStatus.WAITING:
@@ -127,6 +126,42 @@ class TestMinimizerAndArtifacts:
         assert stress_main(["--replay", path]) == 1
         out = capsys.readouterr().out
         assert "phantom" in out
+
+    def _clean_artifact_marked_failing(self, tmp_path):
+        """Seed 42 under ALL_PATHS (the schedule of the orphan-reinsertion
+        phantom), saved as if its run had recorded a violation."""
+        from dataclasses import replace
+
+        from repro.stress.oracle import Violation
+
+        run = run_stress(StressConfig(seed=42, policy="all-paths"))
+        assert run.ok
+        failed = replace(run, violations=[Violation("phantom", "recorded by the failing run")])
+        path = str(tmp_path / "repro.json")
+        save_artifact(path, failed)
+        return path, run.schedule_fingerprint
+
+    def test_clean_replay_of_same_schedule_reports_fixed(self, tmp_path, capsys):
+        path, fingerprint = self._clean_artifact_marked_failing(tmp_path)
+        assert load_artifact(path)[1]["replay_fingerprint"] == fingerprint
+        assert stress_main(["--replay", path, "--no-audit"]) == 0
+        out = capsys.readouterr().out
+        assert "diverged" not in out
+        assert "the bug it captured is fixed" in out
+
+    def test_diverged_clean_replay_is_not_reported_fixed(self, tmp_path, capsys, monkeypatch):
+        """Replayed on a manager that wakes waiters in a different order,
+        the schedule diverges: a clean result proves nothing."""
+        path, _ = self._clean_artifact_marked_failing(tmp_path)
+        monkeypatch.setattr(
+            "repro.lock.manager._resource_order",
+            lambda resource: [-ord(c) for c in repr(resource)],
+        )
+        assert stress_main(["--replay", path, "--no-audit"]) == 0
+        out = capsys.readouterr().out
+        assert "replay diverged from the recorded schedule" in out
+        assert "the bug it captured is fixed" not in out
+        assert "does not show the bug is fixed" in out
 
 
 class TestCli:

@@ -27,7 +27,7 @@ the cache needs no locking of its own.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, TypeVar
 
 from repro.geometry import Rect, Region
 from repro.rtree.node import Node
@@ -35,6 +35,21 @@ from repro.storage.page import PageId
 
 #: sentinel for "field not computed yet" (``None`` is a valid value)
 _UNSET = object()
+
+V = TypeVar("V")
+
+
+def prune_freed(table: Dict[PageId, V], pager) -> None:
+    """Drop the entries of freed pages once they dominate ``table``.
+
+    Freed page ids are never recycled, so stale entries are merely dead
+    weight; pruning keeps a per-page table proportional to the live page
+    count.
+    """
+    if len(table) <= 256 or len(table) <= 2 * len(pager):
+        return
+    for pid in [pid for pid in table if not pager.exists(pid)]:
+        del table[pid]
 
 
 class _CacheEntry:
@@ -149,21 +164,8 @@ class GeometryCache:
         self.misses += 1
         entry = _CacheEntry(version, is_root)
         self._entries[pid] = entry
-        self._maybe_prune(pager)
+        prune_freed(self._entries, pager)
         return entry
-
-    def _maybe_prune(self, pager) -> None:
-        """Drop entries for freed pages once they dominate the table.
-
-        Freed page ids are never recycled, so stale entries are merely
-        dead weight; pruning keeps the table proportional to the live
-        page count.
-        """
-        if len(self._entries) <= 256 or len(self._entries) <= 2 * len(pager):
-            return
-        self._entries = {
-            pid: entry for pid, entry in self._entries.items() if pager.exists(pid)
-        }
 
     def __repr__(self) -> str:
         return (

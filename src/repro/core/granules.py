@@ -17,9 +17,9 @@ predicate maps to a small set of purely physical lock names.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.core.geometry_cache import GeometryCache
+from repro.core.geometry_cache import GeometryCache, prune_freed
 from repro.geometry import Rect, Region
 from repro.lock.resource import ResourceId
 from repro.rtree.node import Node
@@ -54,6 +54,9 @@ class GranuleSet:
         #: versioned geometry cache (``None`` when disabled, e.g. to
         #: measure the uncached baseline in ``scripts/bench_report.py``)
         self.cache: Optional[GeometryCache] = GeometryCache(tree) if use_cache else None
+        #: interned granule refs by page id (see :meth:`_intern`)
+        self._leaf_refs: Dict[PageId, GranuleRef] = {}
+        self._ext_refs: Dict[PageId, GranuleRef] = {}
 
     def _active_cache(self) -> Optional[GeometryCache]:
         """The cache, rebuilt if ``self.tree`` was swapped out from under us
@@ -115,24 +118,51 @@ class GranuleSet:
             # Degenerate single-node tree: the lone leaf granule is the
             # whole embedded space for locking purposes (there is no
             # non-leaf node to own an external granule).
-            refs.append(GranuleRef(ResourceId.leaf(root.page_id), True, root.page_id))
+            refs.append(self._intern(True, root.page_id))
             return refs
+        # A degenerate (measure-zero) part has no interior, so the
+        # positive-measure test can never pass for it; point queries fall
+        # back to closed-box contact with the external region.
+        flat = [p.is_degenerate() for p in parts]
+        query = parts[0] if len(parts) == 1 else None
+        query_flat = flat[0]
         stack = [root]
         while stack:
             node = stack.pop()
             ext = self.external_region(node)
-            if any(ext.intersects_open(p) or ext_touches_degenerate(ext, p) for p in parts):
-                refs.append(GranuleRef(ResourceId.ext(node.page_id), False, node.page_id))
-            for entry in node.entries:
-                if not any(entry.rect.intersects(p) for p in parts):
-                    continue
-                if node.level == 1:
-                    refs.append(
-                        GranuleRef(ResourceId.leaf(entry.child_id), True, entry.child_id)  # type: ignore[union-attr]
-                    )
-                else:
+            if query is not None:
+                ext_hit = ext.intersects_open(query) or (query_flat and ext.intersects(query))
+                hits = node.overlapping(query)
+            else:
+                ext_hit = any(
+                    ext.intersects_open(p) or (f and ext.intersects(p)) for p, f in zip(parts, flat)
+                )
+                hits = [e for e in node.entries if any(e.rect.intersects(p) for p in parts)]
+            if ext_hit:
+                refs.append(self._intern(False, node.page_id))
+            if node.level == 1:
+                for entry in hits:
+                    refs.append(self._intern(True, entry.child_id))  # type: ignore[union-attr]
+            else:
+                for entry in hits:
                     stack.append(self.tree.node(entry.child_id))  # type: ignore[union-attr]
         return refs
+
+    def _intern(self, is_leaf: bool, page_id: PageId) -> GranuleRef:
+        """The one :class:`GranuleRef` (and lock name) for a granule.
+
+        A ref is a pure function of ``(kind, page id)``, so enumeration
+        hands out the same objects every time instead of rebuilding one
+        per granule per scan.  Freed page ids are never reused; their
+        refs are dropped by the geometry cache's pruning rule.
+        """
+        table = self._leaf_refs if is_leaf else self._ext_refs
+        ref = table.get(page_id)
+        if ref is None:
+            resource = ResourceId.leaf(page_id) if is_leaf else ResourceId.ext(page_id)
+            ref = table[page_id] = GranuleRef(resource, is_leaf, page_id)
+            prune_freed(table, self.tree.pager)
+        return ref
 
     def overlapping_resources(self, predicate: Predicate) -> List[ResourceId]:
         return [ref.resource for ref in self.overlapping(predicate)]
@@ -215,14 +245,3 @@ class GranuleSet:
             else:
                 exts += 1
         return leaves, exts
-
-
-def ext_touches_degenerate(ext: Region, predicate: Rect) -> bool:
-    """Closed overlap fallback for measure-zero predicates (point queries).
-
-    A degenerate predicate has no interior, so the positive-measure test
-    can never pass; fall back to closed-box contact in that case.
-    """
-    if not predicate.is_degenerate():
-        return False
-    return ext.intersects(predicate)

@@ -119,6 +119,10 @@ TABLE3_REQUIRED_OBJ_MODE: dict = {
 }
 
 
+def _want_order(want: Want) -> Tuple[str, str]:
+    return want[0].order
+
+
 @dataclass
 class OpContext:
     """Per-operation lock bookkeeping for one transaction."""
@@ -239,9 +243,7 @@ class GranuleLockProtocol:
         still happen, cycles mostly do not.  The paper's protocol does not
         depend on acquisition order, so this is a free reliability win.
         """
-        return sorted(
-            wants, key=lambda w: (w[0].namespace.value, repr(w[0].key))
-        )
+        return sorted(wants, key=_want_order)
 
     def _acquire_conditional(self, ctx: OpContext, wants: Sequence[Want]) -> Optional[Want]:
         """Grab what is instantly grantable; return the first blocker."""

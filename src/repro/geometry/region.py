@@ -140,7 +140,13 @@ class Region:
         return any(p.intersects(rect) for p in parts)
 
     def intersects_open(self, rect: Rect) -> bool:
-        """Positive-measure overlap with any part."""
+        """Positive-measure overlap with any part: exactly
+        ``any(p.intersects_open(rect) for p in parts)``, errors included.
+
+        External granules near the root run to many parts and every
+        granule enumeration probes each one, so two-dimensional regions
+        compare the parts against bounds read once.
+        """
         parts = self._parts
         if not parts:
             return False
@@ -148,6 +154,27 @@ class Region:
             return False
         if len(parts) == 1:
             return True
+        q_lo = rect._lo
+        if len(q_lo) == 2:
+            # The bbox test passed, so the query has positive extent on
+            # both axes; a part overlaps it openly iff the part has
+            # positive extent too and neither box ends where the other
+            # starts.
+            qx0, qy0 = q_lo
+            qx1, qy1 = rect._hi
+            try:
+                for p in parts:
+                    x0, y0 = p._lo
+                    x1, y1 = p._hi
+                    if (
+                        x1 <= x0 or x1 <= qx0 or qx1 <= x0
+                        or y1 <= y0 or y1 <= qy0 or qy1 <= y0
+                    ):
+                        continue
+                    return True
+                return False
+            except ValueError:
+                pass  # a part of another dimension: intersects_open raises below
         return any(p.intersects_open(rect) for p in parts)
 
     def contains_point(self, point: Sequence[float]) -> bool:

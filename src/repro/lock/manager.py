@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import operator
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -32,10 +33,8 @@ from repro.lock.modes import LockDuration, LockMode, compatible, supremum
 from repro.lock.resource import ResourceId
 
 
-def _resource_order(resource: ResourceId) -> Tuple[str, str]:
-    """A total, process-independent order over resources (hash order is
-    per-process randomised for string keys)."""
-    return (resource.namespace.value, repr(resource.key))
+#: canonical wake order over resources (see ``ResourceId.order``)
+_resource_order = operator.attrgetter("order")
 
 TxnId = Hashable
 
@@ -148,11 +147,13 @@ class _Held:
 class _LockHead:
     """Per-resource state: the granted group and the wait queue."""
 
-    __slots__ = ("granted", "queue")
+    __slots__ = ("granted", "queue", "seq")
 
-    def __init__(self) -> None:
+    def __init__(self, seq: int) -> None:
         self.granted: Dict[TxnId, _Held] = {}
         self.queue: List[LockRequest] = []
+        #: creation index (heads are never dropped from the table)
+        self.seq = seq
 
 
 class WaitStrategy:
@@ -222,8 +223,9 @@ class LockManager:
         self._mutex = threading.RLock()
         self._cond = threading.Condition(self._mutex)
         self._heads: Dict[ResourceId, _LockHead] = {}
-        #: requests currently sitting in wait queues; a deadlock needs two
-        self._queued = 0
+        #: heads with a non-empty wait queue, by creation index: the only
+        #: heads deadlock handling has to look at
+        self._waiting: Dict[int, _LockHead] = {}
         #: txn -> list of (resource, mode) short-duration holds, release order
         self._short_holds: Dict[TxnId, List[Tuple[ResourceId, LockMode]]] = {}
         #: txn -> first-wait sequence number, for default victim selection
@@ -237,8 +239,8 @@ class LockManager:
         self._victim_selector = victim_selector
         self.tracing = trace
         self.trace: List[LockEvent] = []
-        #: granted acquisitions by mode name
-        self.acquisition_counts: Dict[str, int] = {}
+        #: granted acquisitions by mode (see :attr:`acquisition_counts`)
+        self._grants: Dict[LockMode, int] = {}
         #: how many requests have had to wait
         self.wait_count = 0
         self.deadlock_count = 0
@@ -272,7 +274,7 @@ class LockManager:
         with self._mutex:
             head = self._heads.get(resource)
             if head is None:
-                head = self._heads[resource] = _LockHead()
+                head = self._heads[resource] = _LockHead(len(self._heads))
             held = head.granted.get(txn_id)
             # Conversions bypass the queue (the holder already sits in the
             # granted group; queueing it behind new requests would deadlock
@@ -303,11 +305,7 @@ class LockManager:
             self._enqueue(head, request)
             self.wait_count += 1
             self._observe("enqueue", request)
-            # A cycle needs at least two waiting requests (ours included),
-            # so a lone waiter skips the sweep over every head; any later
-            # waiter that completes a cycle runs its own detection.
-            if self._queued >= 2:
-                self._resolve_deadlocks()
+            self._resolve_deadlocks()
             if request.status is RequestStatus.WAITING:
                 try:
                     self.wait_strategy.wait(self, request, timeout)
@@ -473,18 +471,23 @@ class LockManager:
             return next(_conflicting_holders(head, mode, set(ignore)), None) is not None
 
     def locks_of(self, txn_id: TxnId) -> Dict[ResourceId, Dict[Tuple[LockMode, LockDuration], int]]:
-        """Everything the transaction currently holds (for tests/traces)."""
+        """Everything the transaction currently holds (for tests/traces).
+
+        Visits only the resources the transaction ever touched, not the
+        whole table: the protocol calls this on every operation restart.
+        """
         with self._mutex:
-            return {
-                resource: dict(head.granted[txn_id].counts)
-                for resource, head in self._heads.items()
-                if txn_id in head.granted and not head.granted[txn_id].empty()
-            }
+            held_map = {}
+            for resource in self._txn_resources.get(txn_id, ()):
+                held = self._heads[resource].granted.get(txn_id)
+                if held is not None and not held.empty():
+                    held_map[resource] = dict(held.counts)
+            return held_map
 
     def waiting_requests(self) -> List[LockRequest]:
         """Every request currently queued, across all resources."""
         with self._mutex:
-            return [r for head in self._heads.values() for r in head.queue]
+            return [r for head in self._waiting_heads() for r in head.queue]
 
     def outstanding(self) -> Tuple[int, int]:
         """(granted holds, queued requests) across the whole table.
@@ -504,6 +507,8 @@ class LockManager:
 
     @staticmethod
     def _grantable(head: _LockHead, txn_id: TxnId, mode: LockMode) -> bool:
+        if not head.granted:
+            return True
         return next(_conflicting_holders(head, mode, (txn_id,)), None) is None
 
     def _grant(
@@ -514,13 +519,18 @@ class LockManager:
         mode: LockMode,
         duration: LockDuration,
     ) -> None:
-        held = head.granted.setdefault(txn_id, _Held())
+        held = head.granted.get(txn_id)
+        if held is None:
+            held = head.granted[txn_id] = _Held()
         held.add(mode, duration)
         if duration is LockDuration.SHORT:
             self._short_holds.setdefault(txn_id, []).append((resource, mode))
-        self._txn_resources.setdefault(txn_id, set()).add(resource)
-        counts = self.acquisition_counts
-        counts[mode.value] = counts.get(mode.value, 0) + 1
+        touched = self._txn_resources.get(txn_id)
+        if touched is None:
+            touched = self._txn_resources[txn_id] = set()
+        touched.add(resource)
+        grants = self._grants
+        grants[mode] = grants.get(mode, 0) + 1
 
     def _enqueue(self, head: _LockHead, request: LockRequest) -> None:
         if request.conversion:
@@ -531,11 +541,18 @@ class LockManager:
             head.queue.insert(idx, request)
         else:
             head.queue.append(request)
-        self._queued += 1
+        self._waiting[head.seq] = head
 
     def _dequeue(self, head: _LockHead, request: LockRequest) -> None:
         head.queue.remove(request)
-        self._queued -= 1
+        if not head.queue:
+            del self._waiting[head.seq]
+
+    def _waiting_heads(self) -> List[_LockHead]:
+        """Heads with waiters, in the order a walk over the whole table
+        (creation order) would meet them."""
+        waiting = self._waiting
+        return [waiting[seq] for seq in sorted(waiting)]
 
     def _process_queue(self, head: _LockHead) -> None:
         """Grant newly compatible waiters, conversions first then FIFO."""
@@ -565,7 +582,7 @@ class LockManager:
         """The waits-for graph implied by the current queues."""
         graph: Dict[TxnId, Set[TxnId]] = {}
         with self._mutex:
-            for head in self._heads.values():
+            for head in self._waiting_heads():
                 for idx, request in enumerate(head.queue):
                     blockers = set(_conflicting_holders(head, request.mode, (request.txn_id,)))
                     # Earlier incompatible waiters also block (FIFO order).
@@ -614,16 +631,19 @@ class LockManager:
     def _abort_waiter(self, victim: TxnId, cycle: Tuple[TxnId, ...]) -> None:
         """Cancel the victim's waits."""
         error = DeadlockError(victim, cycle)
-        heads = list(self._heads.values())
+        heads = self._waiting_heads()
         for head in heads:
-            for request in list(head.queue):
-                if request.txn_id == victim:
-                    self._dequeue(head, request)
-                    request.status = RequestStatus.ABORTED
-                    request.error = error
-                    self._observe("abort", request)
-                    self.wait_strategy.notify(self, request)
-        # Whatever queue the victim vacated may now be grantable.
+            for request in [r for r in head.queue if r.txn_id == victim]:
+                self._dequeue(head, request)
+                request.status = RequestStatus.ABORTED
+                request.error = error
+                self._observe("abort", request)
+                self.wait_strategy.notify(self, request)
+        # Whatever queue the victim vacated may now be grantable.  So may
+        # one it never touched: ``acquire`` never lets a new request
+        # overtake a queue, but ``_process_queue`` lets a plain request
+        # pass a blocked conversion, so a queue can hold a grantable
+        # waiter until it is next processed.
         for head in heads:
             self._process_queue(head)
 
@@ -672,9 +692,14 @@ class LockManager:
         with self._mutex:
             self.trace.clear()
 
+    @property
+    def acquisition_counts(self) -> Dict[str, int]:
+        """Granted acquisitions by mode name, in first-grant order."""
+        return {mode.value: count for mode, count in self._grants.items()}
+
     def total_acquisitions(self) -> int:
         """Locks granted since construction (any mode, any duration)."""
-        return sum(self.acquisition_counts.values())
+        return sum(self._grants.values())
 
 
 def _conflicting_holders(

@@ -30,6 +30,11 @@ class LockMode(enum.Enum):
     SIX = "SIX"
     X = "X"
 
+    # Identity hashing in C: ``Enum.__hash__`` hashes the member name in
+    # Python, and modes key every held-lock count and lock want.  Neither
+    # hash is stable across processes, so nothing may depend on it.
+    __hash__ = object.__hash__
+
     def __repr__(self) -> str:  # terse traces
         return self.value
 
@@ -41,6 +46,8 @@ class LockDuration(enum.Enum):
     SHORT = "short"
     #: released at transaction commit or rollback
     COMMIT = "commit"
+
+    __hash__ = object.__hash__  # see LockMode
 
     def __repr__(self) -> str:
         return self.value

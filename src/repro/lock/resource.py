@@ -46,6 +46,11 @@ class ResourceId:
     per-process-randomised string/enum hashing), so iterating a set of
     resources visits them in the same order in every interpreter
     invocation -- replays and trace artifacts stay byte-stable.
+
+    ``order`` is the canonical sort key ``(namespace value, repr(key))``,
+    a total order that is the same in every process.  It decides both the
+    protocol's lock acquisition order and the lock manager's wake order,
+    so it is computed once here rather than at every sort.
     """
 
     namespace: Namespace
@@ -53,6 +58,7 @@ class ResourceId:
 
     def __post_init__(self) -> None:
         key = self.key
+        object.__setattr__(self, "order", (self.namespace.value, repr(key)))
         salt = _NS_SALT[self.namespace]
         if type(key) is int:
             # page ids / small ints: a Weyl-style mix is ~4x cheaper than

@@ -50,6 +50,42 @@ class Node:
             return None
         return Rect.bounding(e.rect for e in self.entries)
 
+    def overlapping(self, rect: Rect) -> List[Entry]:
+        """The entries whose rectangle meets ``rect`` (closed boxes), in
+        entry order: exactly ``[e for e in self.entries if
+        e.rect.intersects(rect)]``, errors included.
+
+        Every predicate-driven walk (search, FindLeaf, granule
+        enumeration) runs this once per node, so it reads the query's
+        bounds once instead of making one ``Rect.intersects`` call per
+        entry.  Two dimensions -- the paper's setting and every benchmark
+        workload -- get an unrolled comparison, because the loop over the
+        axes costs as much as the comparisons: on the ``scan_heavy``
+        benchmark the unrolled form made the whole scan ~1.17x faster than
+        a generic inlined loop over the axes (see docs/PERFORMANCE.md
+        §5).  Other dimensions, and entries whose dimension differs from
+        the query's (a ``ValueError``), go through ``Rect.intersects``.
+        """
+        # Reads ``Rect``'s private bounds: a property call per entry would
+        # cost as much as the ``intersects`` call this replaces.
+        q_lo = rect._lo
+        if len(q_lo) == 2:
+            qx0, qy0 = q_lo
+            qx1, qy1 = rect._hi
+            out: List[Entry] = []
+            try:
+                for entry in self.entries:
+                    r = entry.rect
+                    x0, y0 = r._lo
+                    x1, y1 = r._hi
+                    if x1 < qx0 or qx1 < x0 or y1 < qy0 or qy1 < y0:
+                        continue
+                    out.append(entry)
+                return out
+            except ValueError:
+                pass  # an entry of another dimension: intersects raises below
+        return [e for e in self.entries if e.rect.intersects(rect)]
+
     # -- leaf-side helpers ---------------------------------------------------
 
     def find_entry(self, oid: ObjectId) -> Optional[LeafEntry]:

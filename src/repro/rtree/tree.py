@@ -177,9 +177,10 @@ class RTree:
         """All data entries whose rectangle overlaps ``rect``."""
         results: List[LeafEntry] = []
         for leaf in self._overlapping_leaf_nodes(rect):
-            for entry in leaf.entries:
-                if entry.rect.intersects(rect) and (include_tombstones or not entry.tombstone):
-                    results.append(entry)  # type: ignore[arg-type]
+            if include_tombstones:
+                results.extend(leaf.overlapping(rect))  # type: ignore[arg-type]
+            else:
+                results.extend(e for e in leaf.overlapping(rect) if not e.tombstone)  # type: ignore[union-attr]
         return results
 
     def search_point(self, point: Sequence[float]) -> List[LeafEntry]:
@@ -211,13 +212,11 @@ class RTree:
         stack = [root]
         while stack:
             node = stack.pop()
-            for entry in node.entries:
-                if not entry.rect.intersects(rect):
-                    continue
-                if node.level == 1:
-                    result.append(entry.child_id)  # type: ignore[union-attr]
-                else:
-                    stack.append(self.node(entry.child_id))  # type: ignore[union-attr]
+            hits = node.overlapping(rect)
+            if node.level == 1:
+                result.extend(entry.child_id for entry in hits)  # type: ignore[union-attr]
+            else:
+                stack.extend(self.node(entry.child_id) for entry in hits)  # type: ignore[union-attr]
         return result
 
     def _overlapping_leaf_nodes(self, rect: Rect) -> Iterator[Node]:
@@ -227,9 +226,7 @@ class RTree:
             if node.is_leaf:
                 yield node
                 continue
-            for entry in node.entries:
-                if entry.rect.intersects(rect):
-                    stack.append(self.node(entry.child_id))  # type: ignore[union-attr]
+            stack.extend(self.node(entry.child_id) for entry in node.overlapping(rect))  # type: ignore[union-attr]
 
     def iter_leaves(self) -> Iterator[Node]:
         """Every leaf node, without I/O accounting (validator use)."""
@@ -539,11 +536,10 @@ class RTree:
             trail = trail + [node]
             if node.is_leaf:
                 return trail if node.find_entry(oid) is not None else None
-            for entry in node.entries:
-                if entry.rect.intersects(rect):
-                    found = descend(self.node(entry.child_id), trail)  # type: ignore[union-attr]
-                    if found is not None:
-                        return found
+            for entry in node.overlapping(rect):
+                found = descend(self.node(entry.child_id), trail)  # type: ignore[union-attr]
+                if found is not None:
+                    return found
             return None
 
         return descend(self.root(), [])

@@ -5,7 +5,8 @@ import time
 
 import pytest
 
-from repro.lock import DeadlockError, LockManager, LockMode, ResourceId
+from repro.lock import DeadlockError, LockManager, LockMode, LockTimeout, ResourceId
+from repro.lock.manager import WaitStrategy
 
 S, X = LockMode.S, LockMode.X
 R1, R2, R3 = ResourceId.leaf(1), ResourceId.leaf(2), ResourceId.leaf(3)
@@ -181,8 +182,6 @@ class TestWaitsForGraph:
         t.join(timeout=5)
 
     def test_timeout_raises_and_cleans_queue(self, stripes):
-        from repro.lock import LockTimeout
-
         lm = LockManager()
         lm.acquire("holder", R1, X)
         with pytest.raises(LockTimeout):
@@ -295,3 +294,67 @@ class TestShield:
         run_all([body("a", R2, 0), body("b", R1, 1)])
         assert outcome == {"a": "ok", "b": "victim"}
         assert chosen == [("a", "b")]
+
+
+class _Abandon(WaitStrategy):
+    """Returns from every wait undecided, so the request stays queued: the
+    state a waiter cancelled from outside (simulator cancellation) leaves
+    behind.  ``acquire`` then raises ``LockTimeout``."""
+
+    def wait(self, manager, request, timeout):
+        pass
+
+    def notify(self, manager, request):
+        pass
+
+
+def abandoned_wait(lm, txn, resource, mode):
+    with pytest.raises(LockTimeout):
+        lm.acquire(txn, resource, mode)
+
+
+class TestOnlyWaitingHeads:
+    """Deadlock handling looks only at heads with waiters; it must see the
+    same queues a walk over the whole lock table would."""
+
+    def test_graph_includes_conversion_waiters(self):
+        lm = LockManager(wait_strategy=_Abandon())
+        lm.acquire("a", R1, S)
+        lm.acquire("b", R1, S)
+        lm.acquire("c", R2, X)
+        abandoned_wait(lm, "a", R1, X)  # a conversion, queued first
+        abandoned_wait(lm, "b", R2, S)
+        assert lm.build_waits_for() == {"a": {"b"}, "b": {"c"}}
+
+    def test_waiters_listed_in_head_creation_order(self):
+        lm = LockManager(wait_strategy=_Abandon())
+        lm.acquire("a", R1, X)
+        lm.acquire("a", R2, X)
+        abandoned_wait(lm, "b", R2, S)
+        abandoned_wait(lm, "c", R1, S)
+        assert [r.txn_id for r in lm.waiting_requests()] == ["c", "b"]
+
+    def test_victim_abort_reexamines_every_queue(self):
+        """A new request never overtakes a queue, but queue processing lets
+        a plain request pass a blocked conversion.  On ``H`` that leaves
+        ``t10``'s IX grantable yet queued; breaking a deadlock elsewhere
+        must grant it, as it did when the abort walked every head."""
+        H = ResourceId.leaf(18)
+        IX = LockMode.IX
+        lm = LockManager(wait_strategy=_Abandon())
+        lm.acquire("t5", H, IX)
+        lm.acquire("t15", H, IX)
+        lm.acquire("t10", R2, X)
+        abandoned_wait(lm, "t15", H, S)  # conversion, blocked by t5's IX
+        abandoned_wait(lm, "t10", H, IX)  # queued behind it, grantable
+        assert "t10" not in lm.holders(H)
+        # t5 -> t10 (R2) -> t15 (H) -> t5 (H): t5 waited last, so it is
+        # the youngest and the victim; its only request is on R2.
+        with pytest.raises(DeadlockError):
+            lm.acquire("t5", R2, X)
+        assert lm.holders(H) == {"t5": IX, "t15": IX, "t10": IX}
+        assert [(r.txn_id, r.resource) for r in lm.waiting_requests()] == [("t15", H)]
+        for txn in ("t5", "t10", "t15"):
+            lm.release_all(txn)
+        assert lm.outstanding() == (0, 0)
+        assert not lm._waiting

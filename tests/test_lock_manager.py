@@ -3,6 +3,8 @@
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.lock import (
     LockDuration,
@@ -363,3 +365,47 @@ class TestThreadedWaitSharedCondition:
         assert sum(totals.values()) == n_threads * rounds
         assert lm.total_acquisitions() == n_threads * rounds
         assert lm.outstanding() == (0, 0)
+
+
+class TestLocksOf:
+    """``locks_of`` visits only the transaction's own resources; it must
+    answer exactly what a walk over the whole lock table answers."""
+
+    @staticmethod
+    def full_table(lm, txn):
+        return {
+            resource: dict(head.granted[txn].counts)
+            for resource, head in lm._heads.items()
+            if txn in head.granted and not head.granted[txn].empty()
+        }
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["acquire", "acquire", "acquire", "release", "end_op", "release_all"]),
+                st.sampled_from(["t1", "t2", "t3"]),
+                st.integers(min_value=0, max_value=5),
+                st.sampled_from(list(LockMode)),
+                st.sampled_from(list(LockDuration)),
+            ),
+            max_size=60,
+        )
+    )
+    def test_matches_full_table_walk(self, steps):
+        lm = LockManager(wait_strategy=SingleThreadedWait())
+        resources = [ResourceId.leaf(0), ResourceId.ext(1), ResourceId.obj(2),
+                     ResourceId.leaf(3), ResourceId.obj("a"), ResourceId.ext(5)]
+        for op, txn, idx, mode, duration in steps:
+            resource = resources[idx]
+            if op == "acquire":
+                lm.acquire(txn, resource, mode, duration, conditional=True)
+            elif op == "release":
+                if (mode, duration) in self.full_table(lm, txn).get(resource, {}):
+                    lm.release(txn, resource, mode, duration)
+            elif op == "end_op":
+                lm.end_operation(txn)
+            else:
+                lm.release_all(txn)
+            for other in ("t1", "t2", "t3"):
+                assert lm.locks_of(other) == self.full_table(lm, other)
